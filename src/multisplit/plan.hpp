@@ -184,136 +184,107 @@ MultisplitResult run_method(Method method, sim::Device& dev,
                                         f64 spent_ms,
                                         const sim::FaultContext& last);
 
-/// End-to-end output check for the resilient executor: the reported
-/// bucket_offsets against boundaries recomputed from the input, bucket
-/// order of every output key, and (for stable methods) the exact stable
-/// permutation, keys and values.  Pure host-side verification -- charges
-/// nothing, touches no device state, and reads buffers through const
-/// views so initcheck shadows are unperturbed.  Returns false and fills
-/// `why` on the first mismatch.
+/// End-to-end output check shared by the resilient executor and the
+/// serving executor: the reported bucket offsets against boundaries
+/// recomputed from the input, then (stable methods) the exact stable
+/// permutation, keys and values, or (non-stable) each segment's key
+/// multiset.  Works on host spans, so a packed problem's output window is
+/// checked in place; pure host-side verification -- charges nothing and
+/// touches no device state.  Returns the first mismatch as a fault:
+/// kValidationFailure for a wrong output (retryable corruption), or
+/// kInvalidConfig for a bucket function that maps an input key outside
+/// [0, m) (a caller error no retry can cure).  nullopt = output correct.
 template <typename BucketFn, typename V>
-bool validate_split_output(const sim::DeviceBuffer<u32>& in,
-                           const sim::DeviceBuffer<u32>& out,
-                           const sim::DeviceBuffer<V>* vals_in,
-                           const sim::DeviceBuffer<V>* vals_out, u32 m,
-                           BucketFn& bucket_of, bool stable,
-                           const std::vector<u32>& offsets,
-                           std::string* why) {
-  const std::span<const u32> ki = std::as_const(in).host();
-  const std::span<const u32> ko = std::as_const(out).host();
+std::optional<sim::FaultContext> validate_split_output(
+    std::span<const u32> ki, std::span<const u32> ko, std::span<const V> vi,
+    std::span<const V> vo, u32 m, BucketFn& bucket_of, bool stable,
+    std::span<const u32> offsets) {
+  auto reject = [](sim::FaultKind kind, const char* object, std::string why) {
+    sim::FaultContext ctx;
+    ctx.kind = kind;
+    ctx.kernel = "<resilience>";
+    ctx.object = object;
+    ctx.detail = std::move(why);
+    return std::optional<sim::FaultContext>(std::move(ctx));
+  };
+  auto wrong = [&](std::string why) {
+    return reject(sim::FaultKind::kValidationFailure, "multisplit output",
+                  std::move(why));
+  };
   const u64 n = ki.size();
   // Reference segment boundaries recomputed from the input.
   std::vector<u64> counts(m, 0);
   for (u64 i = 0; i < n; ++i) {
     const u32 b = bucket_of(ki[i]);
     if (b >= m) {
-      if (why != nullptr) *why = "input key maps outside [0, m)";
-      return false;
+      return reject(sim::FaultKind::kInvalidConfig, "bucket function",
+                    "input key maps outside [0, m)");
     }
     counts[b] += 1;
   }
   std::vector<u64> start(m + 1, 0);
   for (u32 j = 0; j < m; ++j) start[j + 1] = start[j] + counts[j];
-  // The REPORTED offsets must equal the recomputed ones exactly: a
-  // corrupted histogram/label can produce well-formed (monotone) offsets
-  // over a perfectly ordered output, which only this comparison catches.
+  // The REPORTED offsets must equal the recomputed ones exactly (which
+  // implies the ends and monotonicity): a corrupted histogram/label can
+  // produce well-formed offsets over a perfectly ordered output, which
+  // only this comparison catches.
+  if (offsets.size() != start.size()) {
+    return wrong("bucket_offsets has " + std::to_string(offsets.size()) +
+                 " entries, expected m + 1");
+  }
   for (u32 j = 0; j <= m; ++j) {
     if (offsets[j] != start[j]) {
-      if (why != nullptr) {
-        *why = "bucket_offsets[" + std::to_string(j) +
-               "] disagrees with the input's bucket counts";
-      }
-      return false;
-    }
-  }
-  // Bucket order: output position i in segment j must hold a bucket-j key.
-  for (u32 j = 0; j < m; ++j) {
-    for (u64 i = start[j]; i < start[j + 1]; ++i) {
-      if (bucket_of(ko[i]) != j) {
-        if (why != nullptr) {
-          *why = "output key out of bucket order (segment " +
-                 std::to_string(j) + ", index " + std::to_string(i) + ")";
-        }
-        return false;
-      }
+      return wrong("bucket_offsets[" + std::to_string(j) +
+                   "] disagrees with the input's bucket counts");
     }
   }
   if (stable) {
     // Stable methods must produce exactly the stable partition: walk the
     // input once, expecting each key (and its value) at its bucket cursor.
+    // The cursors visit every output position once, so this also fixes
+    // bucket order.
+    const bool pairs = !vi.empty() && !vo.empty();
     std::vector<u64> cursor(start.begin(), start.end() - 1);
-    const V* vi = nullptr;
-    const V* vo = nullptr;
-    if (vals_in != nullptr && vals_out != nullptr) {
-      vi = std::as_const(*vals_in).host().data();
-      vo = std::as_const(*vals_out).host().data();
-    }
     for (u64 i = 0; i < n; ++i) {
-      const u32 b = bucket_of(ki[i]);
-      const u64 pos = cursor[b]++;
+      const u64 pos = cursor[bucket_of(ki[i])]++;
       if (ko[pos] != ki[i]) {
-        if (why != nullptr) {
-          *why = "stable permutation violated at output index " +
-                 std::to_string(pos);
-        }
-        return false;
+        return wrong("stable permutation violated at output index " +
+                     std::to_string(pos));
       }
-      if (vi != nullptr && vo[pos] != vi[i]) {
-        if (why != nullptr) {
-          *why = "value does not travel with its key at output index " +
-                 std::to_string(pos);
-        }
-        return false;
+      if (pairs && vo[pos] != vi[i]) {
+        return wrong("value does not travel with its key at output index " +
+                     std::to_string(pos));
       }
     }
-  } else {
-    // Non-stable methods (randomized insertion, key-only): each segment
-    // must hold the same multiset of keys as the input contributes.
-    std::vector<std::vector<u32>> expect(m);
-    for (u32 j = 0; j < m; ++j) expect[j].reserve(counts[j]);
-    for (u64 i = 0; i < n; ++i) expect[bucket_of(ki[i])].push_back(ki[i]);
-    for (u32 j = 0; j < m; ++j) {
-      std::vector<u32> got(ko.begin() + static_cast<std::ptrdiff_t>(start[j]),
-                           ko.begin() +
-                               static_cast<std::ptrdiff_t>(start[j + 1]));
-      std::sort(got.begin(), got.end());
-      std::sort(expect[j].begin(), expect[j].end());
-      if (got != expect[j]) {
-        if (why != nullptr) {
-          *why = "bucket " + std::to_string(j) +
-                 " holds the wrong key multiset";
-        }
-        return false;
-      }
-    }
+    return std::nullopt;
   }
-  return true;
-}
-
-/// Check the result's offsets against the reference partition sizes.
-inline bool validate_offsets(const MultisplitResult& r, u64 n, u32 m,
-                             std::string* why) {
-  const std::vector<u32>& off = r.bucket_offsets;
-  if (off.size() != static_cast<std::size_t>(m) + 1 || off.front() != 0 ||
-      off.back() != n) {
-    if (why != nullptr) *why = "bucket_offsets malformed (size/ends)";
-    return false;
-  }
+  // Non-stable methods (randomized insertion, key-only): each segment
+  // must hold the same multiset of keys as the input contributes, which
+  // also puts every output key in its bucket.
+  std::vector<std::vector<u32>> expect(m);
+  for (u32 j = 0; j < m; ++j) expect[j].reserve(counts[j]);
+  for (u64 i = 0; i < n; ++i) expect[bucket_of(ki[i])].push_back(ki[i]);
   for (u32 j = 0; j < m; ++j) {
-    if (off[j] > off[j + 1]) {
-      if (why != nullptr) *why = "bucket_offsets not monotone";
-      return false;
+    std::vector<u32> got(ko.begin() + static_cast<std::ptrdiff_t>(start[j]),
+                         ko.begin() + static_cast<std::ptrdiff_t>(start[j + 1]));
+    std::sort(got.begin(), got.end());
+    std::sort(expect[j].begin(), expect[j].end());
+    if (got != expect[j]) {
+      return wrong("bucket " + std::to_string(j) +
+                   " holds the wrong key multiset");
     }
   }
-  return true;
+  return std::nullopt;
 }
 
-/// The resilient request executor (tentpole of the chaos PR): wraps
-/// run_method in a retry loop with deterministic virtual-time exponential
-/// backoff, a per-request time budget, graceful degradation down the
-/// fallback_method ladder, and optional end-to-end output validation that
+/// The resilient request executor: wraps run_method in a retry loop with
+/// deterministic virtual-time exponential backoff, a per-request time
+/// budget, graceful degradation down the fallback_method ladder, and
+/// optional end-to-end output validation (validate_split_output) that
 /// turns silent corruption into a retryable fault.  Faults are classified
-/// by fault_is_retryable; non-retryable ones rethrow immediately.  All
+/// by fault_is_retryable; non-retryable ones rethrow immediately.  The
+/// serving executor applies the same validator, classification and
+/// attempt budget to its fused launches (serving.cpp).  All
 /// accounting lands in the device's ResilienceStats and (when attached)
 /// the telemetry registry.  With no faults the executor adds zero device
 /// work, so a clean run is bit-identical to the plain entry points.
@@ -370,27 +341,25 @@ MultisplitResult run_resilient(Method initial, sim::Device& dev,
       fault = dev.take_last_error();
     }
     if (!fault.has_value() && rp.validate_output) {
-      std::string why;
-      const bool stable = method_traits(cur).stable;
-      if (!validate_offsets(r, in.size(), m, &why) ||
-          !validate_split_output<BucketFn, V>(in, out, vals_in, vals_out, m,
-                                             bucket_of, stable,
-                                             r.bucket_offsets, &why)) {
+      std::span<const V> vi, vo;
+      if (vals_in != nullptr && vals_out != nullptr) {
+        vi = std::as_const(*vals_in).host();
+        vo = std::as_const(*vals_out).host();
+      }
+      fault = validate_split_output<BucketFn, V>(
+          std::as_const(in).host(), std::as_const(out).host(), vi, vo, m,
+          bucket_of, method_traits(cur).stable, r.bucket_offsets);
+      if (fault.has_value() &&
+          fault->kind == sim::FaultKind::kValidationFailure) {
         info.validation_failures += 1;
         rs.validation_failures += 1;
         if (telem != nullptr) {
           telem->counter("resilience.validation_failures").add(1);
         }
-        sim::FaultContext ctx;
-        ctx.kind = sim::FaultKind::kValidationFailure;
-        ctx.kernel = "<resilience>";
-        ctx.object = "multisplit output";
-        ctx.detail = why;
         if (rec != nullptr) {
           rec->event(sim::SpanEvent{dev.lifetime_ms(), "validation_failure",
-                                    why, ctx});
+                                    fault->detail, *fault});
         }
-        fault = std::move(ctx);
       }
     }
     spent_ms += dev.lifetime_ms() - t0;

@@ -11,29 +11,10 @@ namespace ms::split {
 
 namespace {
 
-/// Host reference for one packed problem: the stable partition (the fused
-/// kernels' contract) and its bucket offsets.  Returns false when the
-/// bucket function maps a key outside [0, m) -- a caller error no retry
-/// can cure.
-bool expected_partition(const std::vector<u32>& keys, u32 m,
-                        const BucketFunction& fn, std::vector<u32>& out_keys,
-                        std::vector<u32>& offsets, std::string* why) {
-  std::vector<u32> counts(m, 0);
-  for (const u32 k : keys) {
-    const u32 b = fn(k);
-    if (b >= m) {
-      if (why != nullptr) *why = "input key maps outside [0, m)";
-      return false;
-    }
-    counts[b] += 1;
-  }
-  offsets.assign(m + 1, 0);
-  for (u32 j = 0; j < m; ++j) offsets[j + 1] = offsets[j] + counts[j];
-  std::vector<u32> cursor(offsets.begin(), offsets.end() - 1);
-  out_keys.assign(keys.size(), 0);
-  for (const u32 k : keys) out_keys[cursor[fn(k)]++] = k;
-  return true;
-}
+/// The plan layer's default retry contract: packed and unpacked problems
+/// get the same fault classification and attempt budget as a sequential
+/// resilient caller.
+constexpr RetryPolicy kRetry{};
 
 }  // namespace
 
@@ -216,37 +197,38 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
     bs.slots_filled += count;
     bs.fused_launches += 1;
 
-    sim::DeviceBuffer<u32> keys_in(dev, total_keys, "serve.batch.keys_in");
-    sim::DeviceBuffer<u32> keys_out(dev, total_keys, "serve.batch.keys_out");
-    sim::DeviceBuffer<u32> counts(dev, total_counts, "serve.batch.counts");
-    {
+    // --- one attempt: allocate, stage, fused launch -----------------------
+    // Allocation is part of the attempt, so an allocation fault is a fault
+    // of this round like an aborted launch, never an escape from flush().
+    std::optional<sim::DeviceBuffer<u32>> keys_in, keys_out, counts;
+    std::optional<sim::FaultContext> fault;
+    bool launched = false;
+    const f64 t0 = dev.lifetime_ms();
+    try {
+      keys_in.emplace(dev, total_keys, "serve.batch.keys_in");
+      keys_out.emplace(dev, total_keys, "serve.batch.keys_out");
+      counts.emplace(dev, total_counts, "serve.batch.counts");
       // Uncharged host staging (the host() idiom every workload generator
       // uses); padding lanes are never device-read thanks to the kernels'
       // tail masks.
-      const std::span<u32> hi = keys_in.host();
+      const std::span<u32> hi = keys_in->host();
       for (u64 i = 0; i < count; ++i) {
         std::copy(active[i]->req->keys.begin(), active[i]->req->keys.end(),
                   hi.begin() + static_cast<std::ptrdiff_t>(pp[i].base));
       }
-    }
-
-    // --- fused launch, bracketed as one batch request span ---------------
-    const f64 t0 = dev.lifetime_ms();
-    std::optional<sim::FaultContext> fault;
-    {
-      sim::SpanScope batch_span(dev, sim::SpanKind::kRequest, span_name);
-      try {
-        if (cls == PackClass::kSub) {
-          batch_ms_sub(dev, keys_in, keys_out, counts, launch_list);
-        } else {
-          batch_ms_warp(dev, keys_in, keys_out, counts, launch_list);
-        }
-      } catch (const sim::SimError& e) {
-        fault = e.context();
-        (void)dev.take_last_error();  // the throw also parked itself
+      // The fused launch, bracketed as one batch request span.
+      const sim::SpanScope batch_span(dev, sim::SpanKind::kRequest, span_name);
+      if (cls == PackClass::kSub) {
+        batch_ms_sub(dev, *keys_in, *keys_out, *counts, launch_list);
+      } else {
+        batch_ms_warp(dev, *keys_in, *keys_out, *counts, launch_list);
       }
-      if (!fault.has_value()) fault = dev.take_last_error();
+      launched = true;
+    } catch (const sim::SimError& e) {
+      fault = e.context();
+      (void)dev.take_last_error();  // the throw also parked itself
     }
+    if (!fault.has_value()) fault = dev.take_last_error();
     const f64 t1 = dev.lifetime_ms();
 
     // Per-problem attribution: carve the fused launch's interval into
@@ -254,7 +236,7 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
     // nested DIRECTLY under the launch span (trace.cpp draws the
     // launch -> request flow arrows from this shape).  Counter deltas
     // stay on the launch span; the request spans are pure attribution.
-    if (rec != nullptr && dev.last_launch_span() != 0) {
+    if (launched && rec != nullptr && dev.last_launch_span() != 0) {
       f64 total_cost = 0.0;
       std::vector<f64> cost(count);
       for (u64 i = 0; i < count; ++i) {
@@ -276,83 +258,65 @@ void ServingExecutor::run_packed(PackClass cls, std::vector<FlushItem>& items,
     }
 
     // --- unpack, validate, and decide per-problem fate --------------------
+    // A fault of the attempt hits every problem in THIS launch (and only
+    // this launch -- the rest of the batch is untouched); otherwise each
+    // problem's window is checked in place by the shared validator.
+    const u32 attempts = round + 1;
+    std::span<const u32> ko, co;
+    if (!fault.has_value()) {
+      ko = std::as_const(*keys_out).host();
+      co = std::as_const(*counts).host();
+    }
     std::vector<FlushItem*> retry;
-    std::string launch_error;
-    if (fault.has_value()) {
-      // The whole fused launch faulted: every problem in THIS launch (and
-      // only this launch -- the rest of the batch is untouched) retries.
-      launch_error = fault->detail.empty()
-                         ? std::string("fused launch fault in ") +
-                               (fault->kernel.empty() ? span_name
-                                                      : fault->kernel.c_str())
-                         : fault->detail;
-      retry = active;
-    } else {
-      const std::span<const u32> ko = std::as_const(keys_out).host();
-      const std::span<const u32> co = std::as_const(counts).host();
-      for (u64 i = 0; i < count; ++i) {
-        FlushItem* it = active[i];
-        const PendingRequest& req = *it->req;
-        const u64 n = pp[i].n;
-        const u32 m = pp[i].m;
-        std::vector<u32> expect_keys, expect_off;
-        std::string why;
-        if (!expected_partition(req.keys, m, req.bucket, expect_keys,
-                                expect_off, &why)) {
-          // Caller error: deterministic, no retry can cure it.
-          ServeResult& r = result_slot(req.ticket);
-          r.failed = true;
-          r.error = why;
-          r.method_selected = it->selected;
-          r.pack_class = cls;
-          r.batch_id = batch_id;
-          r.batch_size = batch_size;
-          r.retry_rounds = round;
-          continue;
-        }
-        std::vector<u32> got_off(m + 1, 0);
+    for (u64 i = 0; i < count; ++i) {
+      FlushItem* it = active[i];
+      const PendingRequest& req = *it->req;
+      const u64 n = pp[i].n;
+      const u32 m = pp[i].m;
+      std::optional<sim::FaultContext> bad = fault;
+      std::vector<u32> got_off;
+      std::span<const u32> got_keys;
+      if (!bad.has_value()) {
+        got_off.assign(m + 1, 0);
         for (u32 j = 0; j < m; ++j) {
           got_off[j + 1] = got_off[j] + co[pp[i].counts_base + j];
         }
-        std::vector<u32> got_keys(
-            ko.begin() + static_cast<std::ptrdiff_t>(pp[i].base),
-            ko.begin() + static_cast<std::ptrdiff_t>(pp[i].base + n));
-        const bool ok = !policy_.validate ||
-                        (got_off == expect_off && got_keys == expect_keys);
-        if (!ok) {
-          it->retry_rounds = round + 1;
-          retry.push_back(it);
-          continue;
-        }
-        ServeResult& r = result_slot(req.ticket);
-        r.keys_out = std::move(got_keys);
+        got_keys = ko.subspan(pp[i].base, n);
+        bad = detail::validate_split_output<const BucketFunction, u32>(
+            req.keys, got_keys, {}, {}, m, req.bucket, /*stable=*/true,
+            got_off);
+      }
+      const bool retryable =
+          bad.has_value() && fault_is_retryable(bad->kind, kRetry);
+      if (retryable && attempts < kRetry.max_attempts) {
+        retry.push_back(it);
+        continue;
+      }
+      ServeResult& r = result_slot(req.ticket);
+      r.method_selected = it->selected;
+      r.pack_class = cls;
+      r.batch_id = batch_id;
+      r.batch_size = batch_size;
+      r.retry_rounds = round;
+      if (!bad.has_value()) {
+        r.keys_out.assign(got_keys.begin(), got_keys.end());
         r.bucket_offsets = std::move(got_off);
-        r.method_selected = it->selected;
         r.modeled_cost_ms = packed_problem_cost(dev.profile(), n, m, cls);
-        r.pack_class = cls;
         r.packed = true;
-        r.batch_id = batch_id;
-        r.batch_size = batch_size;
-        r.retry_rounds = round;
+        continue;
+      }
+      r.failed = true;
+      r.error = bad->detail.empty()
+                    ? std::string(sim::to_string(bad->kind)) + " in " +
+                          (bad->kernel.empty() ? span_name : bad->kernel)
+                    : bad->detail;
+      if (retryable) {
+        r.error = "retry budget exhausted after " + std::to_string(attempts) +
+                  " attempts; last fault: " + r.error;
       }
     }
 
     if (retry.empty()) return;
-    if (round >= policy_.max_retry_rounds) {
-      for (FlushItem* it : retry) {
-        ServeResult& r = result_slot(it->req->ticket);
-        r.failed = true;
-        r.error = !launch_error.empty()
-                      ? launch_error
-                      : "packed output failed validation after retries";
-        r.method_selected = it->selected;
-        r.pack_class = cls;
-        r.batch_id = batch_id;
-        r.batch_size = batch_size;
-        r.retry_rounds = round;
-      }
-      return;
-    }
     bs.problems_retried += retry.size();
     if (telem != nullptr) telem->counter("serving.retries").add(retry.size());
     active = std::move(retry);
@@ -374,7 +338,7 @@ void ServingExecutor::run_unpacked(const FlushItem& item, u64 batch_id,
     MultisplitConfig cfg = policy_.config;
     cfg.method = req.method;  // kAuto preserved: the plan resolves it
     const MultisplitPlan plan(dev, req.keys.size(), req.m, cfg);
-    const MultisplitResult res = plan.run(in, out, req.bucket);
+    const MultisplitResult res = plan.run(in, out, req.bucket, kRetry);
     const std::span<const u32> ho = std::as_const(out).host();
     r.keys_out.assign(ho.begin(), ho.end());
     r.bucket_offsets = res.bucket_offsets;

@@ -12,7 +12,7 @@
 //   flush: pack + fuse        packable problems are packed one-per-warp
 //                             (or 4-per-warp sub-warp slots) into at most
 //                             two fused launches (batch_ms.hpp); the rest
-//                             fall back to an ordinary plan.run()
+//                             fall back to a resilient plan.run()
 //   get(ticket) -> result     completion is observable without blocking
 //                             via ready(); get() forces a flush
 //
@@ -27,15 +27,19 @@
 // the closed-form packed_problem_cost(profile, n, m, class), a function
 // of the problem's own shape only -- never of batch size, batch
 // composition, buffer addresses or thread count.  Unpacked problems run
-// the ordinary plan path outside the batch span and report exactly what
-// a sequential caller would see.
+// the resilient plan path (plan.run(..., RetryPolicy{})) outside the batch
+// span and report exactly what a sequential resilient caller would see.
 //
-// Partial-batch retry: a faulted fused launch (or a problem whose output
-// fails host validation, e.g. under chaos bit flips) re-packs ONLY the
-// affected problems into a fresh fused launch, up to
-// policy.max_retry_rounds; the rest of the batch completes normally.
+// Partial-batch retry shares the plan layer's resilience contract: every
+// packed problem is checked by detail::validate_split_output, and a fault
+// of its fused attempt (allocation, launch, or a validation failure under
+// chaos bit flips) re-packs ONLY the affected problems into a fresh fused
+// launch -- if fault_is_retryable(kind, RetryPolicy{}) accepts it, within
+// RetryPolicy{}.max_attempts attempts.  The rest of the batch completes
+// normally.
 #pragma once
 
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,13 +60,6 @@ struct ServingPolicy {
   /// stream flushes on max_batch; interleaved foreground work expires
   /// lingering batches.
   f64 max_linger_ms = 0.25;
-  /// Re-pack rounds for faulted / validation-failed problems before
-  /// reporting them failed.
-  u32 max_retry_rounds = 2;
-  /// Host-validate every packed problem's output against the stable
-  /// partition (the fused kernels' contract).  Catches silent corruption
-  /// (chaos bit flips) per problem, enabling partial-batch retry.
-  bool validate = true;
   /// Configuration forwarded to plan.run() for unpacked problems.
   /// (method is overridden per request.)
   MultisplitConfig config;
@@ -107,7 +104,9 @@ class ServingExecutor {
   /// True once the ticket's request has executed (no blocking, no work).
   bool ready(ServeTicket t) const;
 
-  /// Result of a submitted request; forces a flush if still queued.
+  /// Result of a submitted request; forces a flush if still queued.  The
+  /// reference stays valid for the executor's lifetime: later submits and
+  /// flushes never move a stored result.
   const ServeResult& get(ServeTicket t);
 
   /// Execute everything queued now.  Returns the number of requests
@@ -139,15 +138,15 @@ class ServingExecutor {
     PendingRequest* req = nullptr;
     Method selected = Method::kAuto;
     PackClass cls = PackClass::kNone;
-    u32 retry_rounds = 0;
   };
 
   void maybe_flush();
   /// Run one fused launch over `items` (all of one class), validating and
-  /// retrying per policy; fills each item's ServeResult.
+  /// retrying with the plan layer's shared contract; fills each item's
+  /// ServeResult.
   void run_packed(PackClass cls, std::vector<FlushItem>& items, u64 batch_id,
                   u32 batch_size);
-  /// Ordinary plan path for one non-packable request (outside any batch
+  /// Resilient plan path for one non-packable request (outside any batch
   /// span: spans and modeled costs identical to a sequential caller).
   void run_unpacked(const FlushItem& item, u64 batch_id, u32 batch_size);
   ServeResult& result_slot(ServeTicket t);
@@ -155,8 +154,9 @@ class ServingExecutor {
   sim::Device* dev_;
   ServingPolicy policy_;
   std::vector<PendingRequest> queue_;
-  /// results_[ticket - 1]; nullopt until executed.
-  std::vector<std::optional<ServeResult>> results_;
+  /// results_[ticket - 1]; nullopt until executed.  A deque, so growth
+  /// never moves the results get() handed out.
+  std::deque<std::optional<ServeResult>> results_;
   u64 next_batch_ = 1;
 };
 

@@ -53,7 +53,7 @@ enum class FaultKind : u8 {
   kUninitSharedRead, // initcheck: read of never-written shared word
   kRaceHazard,       // racecheck: cross-warp same-epoch shared access
   kSmemOvercommit,   // warning: shared allocation beyond device capacity
-  kInvalidConfig,    // malformed MultisplitConfig rejected at plan build
+  kInvalidConfig,    // caller error: malformed config, or bucket outside [0, m)
   kLaunchFailure,    // a kernel launch was aborted by a fault
   kAllocFailure,     // device allocation failed (chaos-injected OOM)
   kValidationFailure,// resilient executor: output failed end-to-end check

@@ -11,8 +11,11 @@
 //     (gated again by batch_suite_mt4 / the MS_SANITIZE=all variant);
 //   * per-request attribution spans nest directly under the fused launch
 //     span;
-//   * a faulted fused launch retries only its own problems; permanent
-//     (caller) errors fail without poisoning the rest of the batch;
+//   * a faulted fused attempt retries only its own problems, with the
+//     plan layer's validator, fault classification and attempt budget;
+//     permanent (caller) errors fail without poisoning the rest of the
+//     batch; unpacked problems recover like sequential resilient runs;
+//   * get() references stay valid for the executor's lifetime;
 //   * BatchStats flows into the schema-v8 "batching" metrics block.
 #include <gtest/gtest.h>
 
@@ -309,13 +312,61 @@ TEST(BatchServing, SpansNestUnderFusedLaunch) {
   EXPECT_DOUBLE_EQ(cursor, launch_end);
 }
 
-// A faulted fused launch retries ONLY its own problems: the sub-class
-// launch aborts once, its problems succeed on round 1, and the warp-class
-// problems of the same batch never retry.
+// A faulted fused attempt retries ONLY its own problems: the sub-class
+// attempt faults once -- an aborted launch, or a failed allocation of its
+// buffers -- its problems succeed on round 1, and the warp-class problems
+// of the same batch never retry.  Nothing escapes drain().
 TEST(BatchServing, FaultedFusedLaunchRetriesOnlyAffected) {
   const Stream s = make_stream(24);  // mixes sub and warp classes
+  const std::pair<const char*, void (*)(sim::ChaosEngine&)> faults[] = {
+      {"launch abort", [](sim::ChaosEngine& c) { c.arm_launch_abort(); }},
+      {"alloc failure", [](sim::ChaosEngine& c) { c.arm_alloc_failure(); }},
+  };
+  for (const auto& [name, arm] : faults) {
+    SCOPED_TRACE(name);
+    sim::Device dev;
+    dev.enable_chaos(sim::ChaosPolicy{});  // armed, all probabilities zero
+    split::ServingPolicy policy;
+    policy.max_batch = 1000;
+    policy.max_linger_ms = 1e9;
+    split::ServingExecutor exec(dev, policy);
+    std::vector<split::ServeTicket> tickets;
+    for (u64 i = 0; i < s.keys.size(); ++i) {
+      tickets.push_back(
+          exec.submit(s.keys[i], s.ms[i], split::RangeBucket{s.ms[i]}));
+    }
+    // The first attempt of the flush is the fused sub-warp one.
+    arm(*dev.chaos());
+    ASSERT_NO_THROW(exec.drain());
+
+    u64 sub = 0, warp = 0;
+    for (u64 i = 0; i < tickets.size(); ++i) {
+      ASSERT_TRUE(exec.ready(tickets[i])) << "request " << i;
+      const split::ServeResult& r = exec.get(tickets[i]);
+      ASSERT_FALSE(r.failed) << "request " << i << ": " << r.error;
+      const SeqRef ref = run_sequential(s.keys[i], s.ms[i]);
+      EXPECT_EQ(r.keys_out, ref.keys_out) << "request " << i;
+      if (r.pack_class == PackClass::kSub) {
+        EXPECT_EQ(r.retry_rounds, 1u) << "request " << i;
+        sub += 1;
+      } else {
+        EXPECT_EQ(r.retry_rounds, 0u) << "request " << i;
+        warp += r.pack_class == PackClass::kWarp ? 1 : 0;
+      }
+    }
+    EXPECT_GT(sub, 0u);
+    EXPECT_GT(warp, 0u);
+    EXPECT_EQ(dev.batch_stats().problems_retried, sub);
+  }
+}
+
+// A fused-launch fault that fault_is_retryable rejects under the default
+// RetryPolicy (here a data fault raised by a bucket function) fails every
+// problem of THAT launch at once -- no retry rounds, nothing counted as
+// retried -- while the other class's launch completes normally.
+TEST(BatchServing, NonRetryableFusedLaunchFaultFailsOnlyThatLaunch) {
+  const Stream s = make_stream(24);
   sim::Device dev;
-  dev.enable_chaos(sim::ChaosPolicy{});  // armed, all probabilities zero
   split::ServingPolicy policy;
   policy.max_batch = 1000;
   policy.max_linger_ms = 1e9;
@@ -325,27 +376,74 @@ TEST(BatchServing, FaultedFusedLaunchRetriesOnlyAffected) {
     tickets.push_back(
         exec.submit(s.keys[i], s.ms[i], split::RangeBucket{s.ms[i]}));
   }
-  // The first launch of the flush is the fused sub-warp launch.
-  dev.chaos()->arm_launch_abort();
-  exec.drain();
+  const auto oob = exec.submit({1, 2, 3, 4, 5}, 4, [](u32) -> u32 {
+    sim::FaultContext ctx;
+    ctx.kind = sim::FaultKind::kGlobalOOB;
+    ctx.detail = "bucket table read out of bounds";
+    throw sim::SimError(std::move(ctx));
+  });
+  ASSERT_NO_THROW(exec.drain());
 
+  const split::ServeResult& rb = exec.get(oob);
+  ASSERT_EQ(rb.pack_class, PackClass::kSub);
+  EXPECT_TRUE(rb.failed);
+  EXPECT_EQ(rb.retry_rounds, 0u);
+  EXPECT_NE(rb.error.find("bucket table read out of bounds"),
+            std::string::npos)
+      << rb.error;
   u64 sub = 0, warp = 0;
   for (u64 i = 0; i < tickets.size(); ++i) {
     const split::ServeResult& r = exec.get(tickets[i]);
-    ASSERT_FALSE(r.failed) << "request " << i << ": " << r.error;
-    const SeqRef ref = run_sequential(s.keys[i], s.ms[i]);
-    EXPECT_EQ(r.keys_out, ref.keys_out) << "request " << i;
+    EXPECT_EQ(r.retry_rounds, 0u) << "request " << i;
     if (r.pack_class == PackClass::kSub) {
-      EXPECT_EQ(r.retry_rounds, 1u) << "request " << i;
+      EXPECT_TRUE(r.failed) << "request " << i;  // same fused launch
       sub += 1;
     } else {
-      EXPECT_EQ(r.retry_rounds, 0u) << "request " << i;
+      EXPECT_FALSE(r.failed) << "request " << i << ": " << r.error;
       warp += r.pack_class == PackClass::kWarp ? 1 : 0;
     }
   }
   EXPECT_GT(sub, 0u);
   EXPECT_GT(warp, 0u);
-  EXPECT_EQ(dev.batch_stats().problems_retried, sub);
+  EXPECT_EQ(dev.batch_stats().problems_retried, 0u);
+}
+
+// Unpacked problems run the resilient plan path: an aborted launch is
+// retried like any sequential resilient caller's, not reported failed.
+TEST(BatchServing, UnpackedProblemRecoversFromLaunchAbort) {
+  const u32 m = 8;
+  workload::WorkloadConfig wc;
+  wc.m = m;
+  const std::vector<u32> keys = workload::generate_keys(u64{1} << 13, wc);
+  sim::Device dev;
+  dev.enable_chaos(sim::ChaosPolicy{});
+  split::ServingExecutor exec(dev);
+  const auto t = exec.submit(keys, m, split::RangeBucket{m});
+  dev.chaos()->arm_launch_abort();
+  exec.drain();
+  const split::ServeResult& r = exec.get(t);
+  ASSERT_FALSE(r.failed) << r.error;
+  EXPECT_FALSE(r.packed);
+  EXPECT_EQ(r.pack_class, PackClass::kNone);
+  EXPECT_EQ(r.keys_out, run_sequential(keys, m).keys_out);
+  EXPECT_EQ(dev.resilience_stats().injected_launch_aborts, 1u);
+  EXPECT_EQ(dev.resilience_stats().recovered, 1u);
+}
+
+// get() hands out references that stay valid for the executor's
+// lifetime: thousands of later submits (and the flushes they trigger)
+// never move a stored result.
+TEST(BatchServing, ResultReferenceSurvivesLaterSubmits) {
+  sim::Device dev;
+  split::ServingExecutor exec(dev);
+  const auto t = exec.submit({3, 1, 2, 0, 5}, 2, split::RangeBucket{2});
+  const split::ServeResult* first = &exec.get(t);
+  for (u32 i = 0; i < 5000; ++i) {
+    exec.submit({i, i + 1, i + 2}, 2, split::RangeBucket{2});
+  }
+  exec.drain();
+  EXPECT_EQ(&exec.get(t), first);
+  EXPECT_FALSE(first->failed) << first->error;
 }
 
 // A caller error (bucket function out of range) fails permanently --

@@ -317,6 +317,43 @@ TEST(ResilientRun, ExhaustedBudgetThrowsStructuredError) {
   EXPECT_EQ(dev.resilience_stats().retries, 3u);
 }
 
+// A bucket function that maps a key outside [0, m) is a caller error:
+// the shared validator reports it as kInvalidConfig, which no retry can
+// cure, so the request fails after ONE attempt instead of burning the
+// retry budget.  (The methods below finish the run and leave the
+// verdict to the validator; block-level and randomized insertion stop
+// earlier on a non-retryable shared-memory OOB.)
+TEST(ResilientRun, OutOfRangeBucketFailsAfterOneAttempt) {
+  const u64 n = 1u << 10;
+  const u32 m = 8;
+  const auto host = make_keys(n, m, 16);
+  for (const Method method : {Method::kWarpLevel, Method::kReducedBitSort,
+                              Method::kFusedBucketSort}) {
+    SCOPED_TRACE(split::to_string(method));
+    sim::Device dev;
+    sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host)), out(dev, n);
+    MultisplitConfig cfg;
+    cfg.method = method;
+    const MultisplitPlan plan(dev, n, m, cfg);
+    const u32 bad_key = host[n / 2];
+    const split::BucketFunction bucket = [m, bad_key](u32 k) {
+      return k == bad_key ? m : RangeBucket{m}(k);
+    };
+    try {
+      plan.run(in, out, bucket, RetryPolicy{});
+      FAIL() << "out-of-range bucket did not throw";
+    } catch (const sim::SimError& e) {
+      EXPECT_EQ(e.context().kind, FaultKind::kInvalidConfig);
+      EXPECT_NE(e.context().detail.find("outside [0, m)"), std::string::npos)
+          << e.context().detail;
+    }
+    EXPECT_EQ(dev.resilience_stats().faults_observed, 1u);
+    EXPECT_EQ(dev.resilience_stats().retries, 0u);
+    EXPECT_EQ(dev.resilience_stats().validation_failures, 0u);
+    EXPECT_EQ(dev.resilience_stats().lost, 1u);
+  }
+}
+
 TEST(ResilientRun, FallbackLadderEngagesUnderPersistentAborts) {
   const u64 n = 1u << 10;
   const u32 m = 8;

@@ -140,9 +140,18 @@ TEST(Plan, ScanSplitRejectsLargeMAtBuild) {
 
 // ------------------------------------------------------ config validation
 
-class PlanConfigValidation
-    : public ::testing::TestWithParam<std::pair<const char*, MultisplitConfig>> {
+// Printed by label so the discovered test names are stable across builds
+// (the default printer would embed the label's address and the config's
+// raw bytes, padding included).
+struct MalformedCase {
+  const char* label;
+  MultisplitConfig cfg;
+  friend std::ostream& operator<<(std::ostream& os, const MalformedCase& c) {
+    return os << c.label;
+  }
 };
+
+class PlanConfigValidation : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(PlanConfigValidation, RejectedAtBuildWithStructuredFault) {
   sim::Device dev;
@@ -180,11 +189,11 @@ MultisplitConfig with_low_relaxation() {
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, PlanConfigValidation,
-    ::testing::Values(std::pair{"zero_warps", with_zero_warps()},
-                      std::pair{"zero_items", with_zero_items()},
-                      std::pair{"zero_block_items", with_zero_block_items()},
-                      std::pair{"low_relaxation", with_low_relaxation()}),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(MalformedCase{"zero_warps", with_zero_warps()},
+                      MalformedCase{"zero_items", with_zero_items()},
+                      MalformedCase{"zero_block_items", with_zero_block_items()},
+                      MalformedCase{"low_relaxation", with_low_relaxation()}),
+    [](const auto& info) { return std::string(info.param.label); });
 
 TEST(PlanConfigValidation, FreeFunctionsValidateToo) {
   // The wrappers build a plan internally, so the same rejection fires.

@@ -10,8 +10,9 @@
 //      (sanitizer, chaos, the resilient executor, different buffers,
 //      MS_REPLAY=off) keeps or drops to the live path, never a stale tape.
 //
-// The ctest gates plan_replay_suite / plan_replay_off_suite rerun this
-// file with MS_REPLAY=on and =off; the env-sensitive assertions adapt.
+// The discovered cases run with replay on (the default); the ctest gate
+// plan_replay_off_suite reruns this file with MS_REPLAY=off, and the
+// env-sensitive assertions adapt.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
