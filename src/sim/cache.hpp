@@ -45,12 +45,13 @@ class SectorCache {
       return r;
     }
     Line* line = victim(set);
-    if (line->tag != kInvalid && line->dirty) {
+    const std::size_t idx = index_of(line);
+    if (test_dirty(idx)) {
       r.dram_write_tx += 1;
       note_writeback(line->tag);
+      clear_dirty(idx);
     }
     line->tag = sector;
-    line->dirty = false;
     line->lru = ++tick_;
     r.dram_read_tx += 1;  // miss fill
     return r;
@@ -64,24 +65,27 @@ class SectorCache {
     AccessResult r;
     if (Line* line = find(set, sector)) {
       r.hit = true;
-      line->dirty = true;
+      set_dirty(index_of(line));
       line->lru = ++tick_;
       return r;
     }
     Line* line = victim(set);
-    if (line->tag != kInvalid && line->dirty) {
+    const std::size_t idx = index_of(line);
+    if (test_dirty(idx)) {
       r.dram_write_tx += 1;
       note_writeback(line->tag);
     }
     line->tag = sector;
-    line->dirty = true;  // allocate-without-fill: cost paid at writeback
+    set_dirty(idx);  // allocate-without-fill: cost paid at writeback
     line->lru = ++tick_;
     return r;
   }
 
   /// Write back all dirty lines; returns the number of DRAM write
   /// transactions.  Called at the end of each kernel: a kernel's stores
-  /// must be globally visible before the next kernel launches.
+  /// must be globally visible before the next kernel launches.  Visits
+  /// only the set bits of the dirty bitmap, in ascending line index, so
+  /// its cost is O(lines / 64 + dirty lines) rather than O(lines).
   u64 flush_dirty();
 
   /// Drop everything (also clears statistics' working set).
@@ -102,12 +106,21 @@ class SectorCache {
   /// Out of line: needs the ChaosEngine definition, and only runs on dirty
   /// evictions/flushes (off the resident-hit fast path).
   void note_writeback(u64 sector);
+  /// A line's dirty state lives only in `dirty_`, never here.
   struct Line {
     u64 tag = kInvalid;
     u64 lru = 0;
-    bool dirty = false;
   };
   static constexpr u64 kInvalid = ~u64{0};
+
+  std::size_t index_of(const Line* line) const {
+    return static_cast<std::size_t>(line - lines_.data());
+  }
+  bool test_dirty(std::size_t i) const {
+    return ((dirty_[i / 64] >> (i % 64)) & 1u) != 0;
+  }
+  void set_dirty(std::size_t i) { dirty_[i / 64] |= u64{1} << (i % 64); }
+  void clear_dirty(std::size_t i) { dirty_[i / 64] &= ~(u64{1} << (i % 64)); }
 
   Line* find(u64 set, u64 tag) {
     Line* base = &lines_[set * ways_];
@@ -132,6 +145,9 @@ class SectorCache {
   u32 num_sets_;
   u64 tick_ = 0;
   std::vector<Line> lines_;  // num_sets_ * ways_, set-major
+  /// One bit per line of `lines_` (bit i % 64 of word i / 64): the only
+  /// record of which lines are dirty.  A set bit implies a valid line.
+  std::vector<u64> dirty_;
   ChaosEngine* chaos_ = nullptr;
 };
 

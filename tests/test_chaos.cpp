@@ -148,6 +148,67 @@ TEST(ChaosEngine, IdleEngineIsBitIdenticalToNoEngine) {
   EXPECT_EQ(plain.summary.total_ms, idle.summary.total_ms);
 }
 
+// ------------------------------------------------ L2 writeback order pin
+
+// Which dirty sector an L2-corruption draw hits depends on the order the
+// cache writes sectors back (evictions in access order, then each kernel
+// end's flush in ascending line index).  The recovery-count tests cannot
+// see a reordered flush; this one can: it pins the exact injection log of
+// one seeded warp-level multisplit.
+TEST(ChaosEngine, L2CorruptionLogPinsWritebackOrder) {
+  struct Expected {
+    const char* kernel;
+    const char* object;
+    u64 word;
+    u32 words;
+  };
+  static constexpr Expected kExpected[] = {
+      {"warp_ms_prescan", "buffer@32768", 48, 8},
+      {"warp_ms_prescan", "buffer@32768", 88, 8},
+      {"warp_ms_prescan", "buffer@32768", 416, 8},
+      {"warp_ms_prescan", "buffer@32768", 640, 8},
+      {"warp_ms_prescan", "buffer@32768", 832, 8},
+      {"scan_downsweep", "buffer@36864", 176, 8},
+      {"scan_downsweep", "buffer@36864", 784, 8},
+      {"scan_downsweep", "buffer@36864", 880, 8},
+      {"warp_ms_postscan", "buffer@16384", 0, 8},
+  };
+  const u64 n = 1u << 12;
+  const u32 m = 8;
+  const auto host = make_keys(n, m, 21);
+  sim::Device dev;
+  ChaosPolicy pol;
+  pol.seed = 0x5EC7u;
+  pol.p_l2_corrupt = 0.05;
+  dev.enable_chaos(pol);
+  sim::DeviceBuffer<u32> in(dev, std::span<const u32>(host)), out(dev, n);
+  dev.chaos()->protect_buffer(in.base_address());
+  MultisplitConfig cfg;
+  cfg.method = Method::kWarpLevel;
+  // A scrambled scratch sector can make a later kernel of the same run
+  // fault (e.g. a scatter out of bounds); that stops the run at the same
+  // point every time, so the log is pinned either way.
+  try {
+    MultisplitPlan(dev, n, m, cfg).run(in, out, RangeBucket{m});
+  } catch (const sim::SimError&) {
+  }
+
+  const auto& log = dev.chaos()->log();
+  std::string got;
+  for (const sim::InjectionRecord& r : log) {
+    got += "      {\"" + r.kernel + "\", \"" + r.object + "\", " +
+           std::to_string(r.word) + ", " + std::to_string(r.words) + "},\n";
+  }
+  ASSERT_EQ(log.size(), std::size(kExpected)) << "actual log:\n" << got;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].site, sim::ChaosSite::kL2Writeback) << "record " << i;
+    EXPECT_EQ(log[i].kernel, kExpected[i].kernel) << "record " << i;
+    EXPECT_EQ(log[i].object, kExpected[i].object) << "record " << i;
+    EXPECT_EQ(log[i].word, kExpected[i].word) << "record " << i;
+    EXPECT_EQ(log[i].words, kExpected[i].words) << "record " << i;
+  }
+}
+
 // ------------------------------------------- retry/fallback classification
 
 TEST(ResilientPolicy, RetryClassification) {

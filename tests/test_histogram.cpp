@@ -2,6 +2,7 @@
 // atomics vs. block-local shared-memory accumulation.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "multisplit/bucket.hpp"
@@ -16,6 +17,11 @@ using sim::DeviceBuffer;
 struct HistParam {
   u64 n;
   u32 m;
+  // Prints the fields, so gtest names the cases by value instead of
+  // dumping the struct's bytes (padding included).
+  friend std::ostream& operator<<(std::ostream& os, const HistParam& p) {
+    return os << "n" << p.n << "_m" << p.m;
+  }
 };
 
 class HistogramTest : public ::testing::TestWithParam<HistParam> {};

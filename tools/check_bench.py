@@ -119,13 +119,20 @@ def compare_sites(key, base_row, cur_row, failures):
 
 
 def git_sha():
+    """HEAD's short sha, suffixed "-dirty" when tracked files differ from
+    HEAD, so a run of an uncommitted change is not filed under its parent."""
+    here = Path(__file__).resolve().parent
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short=12", "HEAD"],
-            capture_output=True, text=True,
-            cwd=Path(__file__).resolve().parent)
+            capture_output=True, text=True, cwd=here)
         sha = proc.stdout.strip()
-        return sha if proc.returncode == 0 and sha else "unknown"
+        if proc.returncode != 0 or not sha:
+            return "unknown"
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, cwd=here)
+        return sha + "-dirty" if status.stdout.strip() else sha
     except OSError:
         return "unknown"
 
