@@ -30,55 +30,44 @@ class SectorCache {
     u32 dram_write_tx = 0;
   };
 
+  /// DRAM transactions of a run of accesses (access_run).
+  struct RunResult {
+    u64 dram_read_tx = 0;
+    u64 dram_write_tx = 0;
+  };
+
   /// `capacity_bytes` / `sector_bytes` sectors arranged in `ways`-way sets.
   SectorCache(u32 capacity_bytes, u32 ways, u32 sector_bytes);
 
-  /// Read one sector (identified by a device-wide sector index).  Defined
-  /// inline: every warp memory instruction funnels its sectors through here,
-  /// making this the single hottest call in the simulator.
+  /// Read one sector (identified by a device-wide sector index).
   AccessResult read(u64 sector) {
-    const u64 set = sector % num_sets_;
-    AccessResult r;
-    if (Line* line = find(set, sector)) {
-      r.hit = true;
-      line->lru = ++tick_;
-      return r;
-    }
-    Line* line = victim(set);
-    const std::size_t idx = index_of(line);
-    if (test_dirty(idx)) {
-      r.dram_write_tx += 1;
-      note_writeback(line->tag);
-      clear_dirty(idx);
-    }
-    line->tag = sector;
-    line->lru = ++tick_;
-    r.dram_read_tx += 1;  // miss fill
-    return r;
+    return access(sector % num_sets_, sector, /*is_write=*/false);
   }
 
   /// Write one sector.  Write misses allocate without a fill (the common
   /// GPU policy for full-sector streaming stores); the DRAM cost is paid at
   /// eviction/flush time as a writeback.
   AccessResult write(u64 sector) {
-    const u64 set = sector % num_sets_;
-    AccessResult r;
-    if (Line* line = find(set, sector)) {
-      r.hit = true;
-      set_dirty(index_of(line));
-      line->lru = ++tick_;
-      return r;
+    return access(sector % num_sets_, sector, /*is_write=*/true);
+  }
+
+  /// Read or write the `count` consecutive sectors starting at `first`, in
+  /// ascending order; returns the summed DRAM transactions.  Defined
+  /// inline: every warp memory instruction's sectors funnel through here
+  /// (directly on the serial path, via the shard merge's replay
+  /// otherwise), making it the simulator's hottest call.  Consecutive
+  /// sectors map to consecutive sets, so the set index is computed once
+  /// and stepped.
+  RunResult access_run(u64 first, u32 count, bool is_write) {
+    RunResult sum;
+    u64 set = first % num_sets_;
+    for (u32 s = 0; s < count; ++s) {
+      const AccessResult r = access(set, first + s, is_write);
+      sum.dram_read_tx += r.dram_read_tx;
+      sum.dram_write_tx += r.dram_write_tx;
+      if (++set == num_sets_) set = 0;
     }
-    Line* line = victim(set);
-    const std::size_t idx = index_of(line);
-    if (test_dirty(idx)) {
-      r.dram_write_tx += 1;
-      note_writeback(line->tag);
-    }
-    line->tag = sector;
-    set_dirty(idx);  // allocate-without-fill: cost paid at writeback
-    line->lru = ++tick_;
-    return r;
+    return sum;
   }
 
   /// Write back all dirty lines; returns the number of DRAM write
@@ -113,31 +102,63 @@ class SectorCache {
   };
   static constexpr u64 kInvalid = ~u64{0};
 
-  std::size_t index_of(const Line* line) const {
-    return static_cast<std::size_t>(line - lines_.data());
-  }
   bool test_dirty(std::size_t i) const {
     return ((dirty_[i / 64] >> (i % 64)) & 1u) != 0;
   }
   void set_dirty(std::size_t i) { dirty_[i / 64] |= u64{1} << (i % 64); }
   void clear_dirty(std::size_t i) { dirty_[i / 64] &= ~(u64{1} << (i % 64)); }
 
-  Line* find(u64 set, u64 tag) {
-    Line* base = &lines_[set * ways_];
-    for (u32 w = 0; w < ways_; ++w) {
-      if (base[w].tag == tag) return &base[w];
-    }
-    return nullptr;
-  }
-
-  Line* victim(u64 set) {
-    Line* base = &lines_[set * ways_];
-    Line* best = base;
+  /// One access to `sector`, which maps to `set`: a single walk of the
+  /// set both looks for the tag and picks the victim a miss replaces --
+  /// the first invalid way after way 0, otherwise the first
+  /// least-recently-used way.  A cold set thus fills ways 1..W-1 before
+  /// way 0.  Line placement decides the flush's ascending-index writeback
+  /// order (and so the chaos draws), so this rule is part of the modeled
+  /// behaviour.
+  ///
+  /// The walk visits ways 1..W-1 and then way 0 and keeps the first
+  /// strictly smallest LRU stamp.  An invalid line's stamp is 0 and a
+  /// valid line's is at least 1, so that is the first invalid way after
+  /// way 0 when there is one (way 0 is only invalid when all ways are),
+  /// and otherwise the unique oldest way.  The walk has no early exit:
+  /// its selects compile to conditional moves, which beats branching on
+  /// data-dependent comparisons.
+  AccessResult access(u64 set, u64 sector, bool is_write) {
+    const std::size_t first = static_cast<std::size_t>(set) * ways_;
+    Line* const base = &lines_[first];
+    AccessResult r;
+    u32 hit = ways_;  // none
+    u32 victim = 0;
+    u64 victim_lru = ~u64{0};
     for (u32 w = 1; w < ways_; ++w) {
-      if (base[w].tag == kInvalid) return &base[w];
-      if (base[w].lru < best->lru) best = &base[w];
+      hit = base[w].tag == sector ? w : hit;
+      const bool older = base[w].lru < victim_lru;
+      victim_lru = older ? base[w].lru : victim_lru;
+      victim = older ? w : victim;
     }
-    return best;
+    hit = base[0].tag == sector ? 0 : hit;
+    victim = base[0].lru < victim_lru ? 0 : victim;
+    if (hit != ways_) {
+      r.hit = true;
+      if (is_write) set_dirty(first + hit);
+      base[hit].lru = ++tick_;
+      return r;
+    }
+    Line& line = base[victim];
+    const std::size_t idx = first + victim;
+    if (test_dirty(idx)) {
+      r.dram_write_tx += 1;
+      note_writeback(line.tag);
+      if (!is_write) clear_dirty(idx);
+    }
+    if (is_write) {
+      set_dirty(idx);  // allocate-without-fill: cost paid at writeback
+    } else {
+      r.dram_read_tx += 1;  // miss fill
+    }
+    line.tag = sector;
+    line.lru = ++tick_;
+    return r;
   }
 
   u32 ways_;

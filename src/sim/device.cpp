@@ -188,58 +188,16 @@ void Device::free_address_range(u64 base, u64 bytes) {
   alloc_.deallocate(base, bytes);
 }
 
-void Device::touch_read_sectors(u64 first_sector, u32 segments) {
+void Device::touch_sectors(u64 first_sector, u32 count, bool is_write) {
   if (charging_off_) return;  // replay: taped sector stream carries these
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_read_segments += segments;
-    sh->record_sectors(first_sector, segments, /*is_write=*/false);
+  CounterShard* sh = detail::t_shard;
+  KernelEvents& ev = sh != nullptr ? sh->events : current_;
+  (is_write ? ev.l2_write_segments : ev.l2_read_segments) += count;
+  if (sh != nullptr) {
+    sh->record_sectors(first_sector, count, is_write);
     return;
   }
-  current_.l2_read_segments += segments;
-  for (u32 s = 0; s < segments; ++s) {
-    const auto r = l2_.read(first_sector + s);
-    current_.dram_read_tx += r.dram_read_tx;
-    current_.dram_write_tx += r.dram_write_tx;
-  }
-}
-
-void Device::touch_write_sectors(u64 first_sector, u32 segments) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_write_segments += segments;
-    sh->record_sectors(first_sector, segments, /*is_write=*/true);
-    return;
-  }
-  current_.l2_write_segments += segments;
-  for (u32 s = 0; s < segments; ++s) {
-    const auto r = l2_.write(first_sector + s);
-    current_.dram_read_tx += r.dram_read_tx;
-    current_.dram_write_tx += r.dram_write_tx;
-  }
-}
-
-void Device::touch_read_sector(u64 sector) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_read_segments += 1;
-    sh->record_sectors(sector, 1, /*is_write=*/false);
-    return;
-  }
-  current_.l2_read_segments += 1;
-  const auto r = l2_.read(sector);
-  current_.dram_read_tx += r.dram_read_tx;
-  current_.dram_write_tx += r.dram_write_tx;
-}
-
-void Device::touch_write_sector(u64 sector) {
-  if (charging_off_) return;  // replay: taped sector stream carries these
-  if (CounterShard* sh = detail::t_shard; sh != nullptr) {
-    sh->events.l2_write_segments += 1;
-    sh->record_sectors(sector, 1, /*is_write=*/true);
-    return;
-  }
-  current_.l2_write_segments += 1;
-  const auto r = l2_.write(sector);
+  const auto r = l2_.access_run(first_sector, count, is_write);
   current_.dram_read_tx += r.dram_read_tx;
   current_.dram_write_tx += r.dram_write_tx;
 }
@@ -615,24 +573,31 @@ void Device::global_atomic_fence() {
 
 void Device::merge_shard(CounterShard& shard) {
   shard.flush_site_delta();
-  for (const auto& [site, slice] : shard.sites) {
-    add_attributed(site, slice);
-  }
   current_peak_smem_ = std::max(current_peak_smem_, shard.peak_smem);
   // Replay the item's sector stream through the real L2.  Replay order ==
   // merge order == item order == serial execution order, so every access
   // sees the exact cache state it would have seen serially and the
   // hit/miss (and writeback) sequence is reproduced bit-for-bit.
+  //
+  // The DRAM transactions are summed into a copy of the shard's site
+  // slices, and each site is then attributed once.  Every op's site has a
+  // slice: the touch that recorded the op counted its l2_*_segments
+  // there.  Totals are integer sums and end_kernel sorts the kernel's
+  // slices by id, so this equals attributing op by op.  The shard itself
+  // stays untouched: a taped shard is merged again at every replay.
+  merge_slices_ = shard.sites;
+  std::size_t k = 0;
   for (const SectorOp& op : shard.sector_ops) {
-    KernelEvents d;
-    for (u32 s = 0; s < op.count; ++s) {
-      const auto r = op.is_write ? l2_.write(op.first_sector + s)
-                                 : l2_.read(op.first_sector + s);
-      d.dram_read_tx += r.dram_read_tx;
-      d.dram_write_tx += r.dram_write_tx;
+    if (k >= merge_slices_.size() || merge_slices_[k].first != op.site) {
+      k = 0;
+      while (k < merge_slices_.size() && merge_slices_[k].first != op.site) ++k;
+      check(k < merge_slices_.size(), "merge_shard: sector op without a slice");
     }
-    if (!(d == KernelEvents{})) add_attributed(op.site, d);
+    const auto r = l2_.access_run(op.first_sector, op.count, op.is_write);
+    merge_slices_[k].second.dram_read_tx += r.dram_read_tx;
+    merge_slices_[k].second.dram_write_tx += r.dram_write_tx;
   }
+  for (const auto& [site, slice] : merge_slices_) add_attributed(site, slice);
   for (FaultContext& r : shard.reports) {
     san_.report(std::move(r));
   }

@@ -116,16 +116,12 @@ class Device {
     return sh != nullptr ? sh->events : current_;
   }
 
-  /// Record a warp-wide global read/write covering `segments` sectors
-  /// starting at `first_sector` (contiguous case).  Serial path: the
-  /// sectors go through the L2 model immediately.  Parallel path: they
-  /// are recorded in the item's shard and replayed through the L2 in
-  /// item order after the launch (see run_items).
-  void touch_read_sectors(u64 first_sector, u32 segments);
-  void touch_write_sectors(u64 first_sector, u32 segments);
-  /// Same, for an arbitrary (already deduplicated) sector list.
-  void touch_read_sector(u64 sector);
-  void touch_write_sector(u64 sector);
+  /// Record a warp's global read or write of the `count` consecutive
+  /// sectors starting at `first_sector`.  Serial path: the sectors go
+  /// through the L2 model immediately.  Parallel path: they are recorded
+  /// in the item's shard and replayed through the L2 in item order after
+  /// the launch (see run_items).
+  void touch_sectors(u64 first_sector, u32 count, bool is_write);
 
   /// Record a block's shared-memory footprint (called by Block::shared);
   /// the maximum across the kernel's blocks lands in
@@ -359,6 +355,9 @@ class Device {
   /// Site slices of the kernel currently executing (moved into its
   /// KernelRecord at end_kernel).
   std::vector<std::pair<u32, KernelEvents>> kernel_sites_;
+  /// merge_shard's working copy of a shard's site slices (kept to reuse
+  /// its capacity across merges).
+  std::vector<std::pair<u32, KernelEvents>> merge_slices_;
 
   /// Guards site_id registration (kernel bodies may register labels from
   /// worker threads; the table itself is only read during execution).

@@ -529,11 +529,7 @@ class Warp {
     const u32 lines = static_cast<u32>(addr_hi / line - addr_lo / line + 1);
     account<kIsWrite>(lines,
                       static_cast<u64>(std::popcount(active)) * sizeof(T));
-    if constexpr (kIsWrite) {
-      dev_->touch_write_sectors(first, segments);
-    } else {
-      dev_->touch_read_sectors(first, segments);
-    }
+    dev_->touch_sectors(first, segments, kIsWrite);
   }
 
   /// Charge an arbitrary-address access.
@@ -587,12 +583,11 @@ class Warp {
                          sectors.begin());
     account<kIsWrite>(lines,
                       static_cast<u64>(std::popcount(active)) * sizeof(T));
-    for (u32 s = 0; s < segments; ++s) {
-      if constexpr (kIsWrite) {
-        dev_->touch_write_sector(sectors[s]);
-      } else {
-        dev_->touch_read_sector(sectors[s]);
+    // Hand the sectors over as runs of consecutive indices.
+    for (u32 s = 0, e = 0; s < segments; s = e) {
+      for (e = s + 1; e < segments && sectors[e] == sectors[e - 1] + 1; ++e) {
       }
+      dev_->touch_sectors(sectors[s], e - s, kIsWrite);
     }
   }
 

@@ -54,6 +54,25 @@ TEST(SectorCache, LruEvictionWithinSet) {
   EXPECT_FALSE(c.read(3 * sets).hit);
 }
 
+TEST(SectorCache, ColdSetFillsWayZeroLast) {
+  // A cold set fills ways 1..W-1 first, then way 0 (the first LRU way
+  // once no way after 0 is invalid, since an invalid line's stamp is 0).
+  // The fourth tag therefore takes way 0 without evicting anything, and
+  // the fifth evicts the least recently used tag, the first one.
+  SectorCache c(1024, 4, 32);  // 32 lines, 8 sets
+  const u64 sets = c.num_sets();
+  for (u64 k = 0; k < 4; ++k) {
+    const auto w = c.write(k * sets);
+    EXPECT_FALSE(w.hit);
+    EXPECT_EQ(w.dram_write_tx, 0u) << "tag " << k << " evicted a line";
+  }
+  const auto fifth = c.write(4 * sets);
+  EXPECT_FALSE(fifth.hit);
+  EXPECT_EQ(fifth.dram_write_tx, 1u);  // the evicted line was dirty
+  for (u64 k = 1; k < 5; ++k) EXPECT_TRUE(c.read(k * sets).hit) << k;
+  EXPECT_FALSE(c.read(0).hit);
+}
+
 TEST(SectorCache, DirtyEvictionCostsWriteback) {
   SectorCache c(128, 1, 32);  // 4 sets, direct-mapped
   const u64 sets = c.num_sets();
@@ -171,9 +190,13 @@ struct Geometry {
 
 // ~200k seeded random reads/writes per geometry, half of them to a hot
 // range that fits in the cache (write combining, read hits) and half to a
-// range twice its size (evictions).  Flushes come after a random number of
-// calls up to twice the line count, so they see anywhere from one dirty
-// line to a full cache; a reset drops in now and then.
+// range twice its size (evictions).  One call in 64 is instead a run of
+// 1..2*num_sets consecutive sectors through SectorCache::access_run, fed
+// one by one to the reference and compared on the summed transactions;
+// every other run starts within a few sets of the last set, so it wraps
+// to set 0.  Flushes come after a random number of calls up to twice the
+// line count, so they see anywhere from one dirty line to a full cache; a
+// reset drops in now and then.
 void run_differential(const Geometry& g, u64 seed) {
   SectorCache fast(g.capacity_bytes, g.ways, g.sector_bytes);
   SweepCache ref(g.capacity_bytes, g.ways, g.sector_bytes);
@@ -182,16 +205,35 @@ void run_differential(const Geometry& g, u64 seed) {
   const auto next_flush_gap = [&] { return 1 + rng() % (2 * lines); };
   u64 until_flush = next_flush_gap();
   u64 flushes = 0;
+  u64 runs = 0;
   for (u64 call = 0; call < 200'000; ++call) {
     const u64 r = rng();
     const u64 span = (r & 1) != 0 ? lines / 2 + 1 : 2 * lines;
     const u64 sector = (r >> 8) % span;
     const bool is_write = ((r >> 1) & 3) != 0;  // 3 writes : 1 read
-    const auto a = is_write ? fast.write(sector) : fast.read(sector);
-    const auto b = is_write ? ref.write(sector) : ref.read(sector);
-    ASSERT_EQ(a.hit, b.hit) << "call " << call;
-    ASSERT_EQ(a.dram_read_tx, b.dram_read_tx) << "call " << call;
-    ASSERT_EQ(a.dram_write_tx, b.dram_write_tx) << "call " << call;
+    if ((r >> 58) == 0) {
+      const u64 sets = fast.num_sets();
+      const u32 count = static_cast<u32>(1 + rng() % (2 * sets));
+      const u64 first = (rng() & 1) != 0
+                            ? sector - sector % sets + sets - 1 - rng() % 4
+                            : sector;
+      const auto a = fast.access_run(first, count, is_write);
+      SectorCache::RunResult b;
+      for (u64 s = first; s < first + count; ++s) {
+        const auto one = is_write ? ref.write(s) : ref.read(s);
+        b.dram_read_tx += one.dram_read_tx;
+        b.dram_write_tx += one.dram_write_tx;
+      }
+      ASSERT_EQ(a.dram_read_tx, b.dram_read_tx) << "run at call " << call;
+      ASSERT_EQ(a.dram_write_tx, b.dram_write_tx) << "run at call " << call;
+      ++runs;
+    } else {
+      const auto a = is_write ? fast.write(sector) : fast.read(sector);
+      const auto b = is_write ? ref.write(sector) : ref.read(sector);
+      ASSERT_EQ(a.hit, b.hit) << "call " << call;
+      ASSERT_EQ(a.dram_read_tx, b.dram_read_tx) << "call " << call;
+      ASSERT_EQ(a.dram_write_tx, b.dram_write_tx) << "call " << call;
+    }
     if (--until_flush == 0) {
       ASSERT_EQ(fast.flush_dirty(), ref.flush_dirty()) << "call " << call;
       until_flush = next_flush_gap();
@@ -204,6 +246,7 @@ void run_differential(const Geometry& g, u64 seed) {
   }
   ASSERT_EQ(fast.flush_dirty(), ref.flush_dirty());
   EXPECT_GT(flushes, 0u);
+  EXPECT_GT(runs, 0u);
 }
 
 TEST(SectorCacheDifferential, SubWordLineCount) {
